@@ -444,7 +444,7 @@ class VectorizedBackend:
                 set_i = table.set_list[i]
                 need[set_i] = need.get(set_i, 0) + table.ways_list[i]
             for set_i, extra in need.items():
-                if dsb._used_ways(sets[set_i]) + extra > params.dsb_ways:
+                if dsb.used_ways(set_i) + extra > params.dsb_ways:
                     return None
 
         qualifies = table.body_qualifies and lsd.enabled

@@ -100,6 +100,8 @@ class DecodedStreamBuffer:
         self._sets: list[OrderedDict[LineKey, DsbLine]] = [
             OrderedDict() for _ in range(self.params.dsb_sets)
         ]
+        # Ways in use per set, kept in step with every insert and drop.
+        self._used: list[int] = [0] * self.params.dsb_sets
         self._listeners: list[EvictionListener] = []
         self.stats = DsbStats()
 
@@ -183,13 +185,14 @@ class DecodedStreamBuffer:
             entry_set.move_to_end(key)
             return []
         evicted: list[LineKey] = []
-        while self._used_ways(entry_set) + ways > self.params.dsb_ways:
+        while self._used[index] + ways > self.params.dsb_ways:
             victim_key = self._pick_victim(entry_set)
-            del entry_set[victim_key]
+            self._used[index] -= entry_set.pop(victim_key).ways
             evicted.append(victim_key)
             self.stats.evictions += 1
             self._notify_eviction(victim_key)
         entry_set[key] = DsbLine(uops=uops, ways=ways)
+        self._used[index] += ways
         self.stats.insertions += 1
         return evicted
 
@@ -216,19 +219,19 @@ class DecodedStreamBuffer:
     def invalidate(self, thread: int, window_addr: int) -> bool:
         """Drop a specific line wherever it currently resides."""
         key = (thread, window_addr)
-        for entry_set in self._sets:
+        for index, entry_set in enumerate(self._sets):
             if key in entry_set:
-                del entry_set[key]
+                self._used[index] -= entry_set.pop(key).ways
                 return True
         return False
 
     def flush_thread(self, thread: int) -> int:
         """Invalidate every line belonging to ``thread``; returns the count."""
         dropped = 0
-        for entry_set in self._sets:
+        for index, entry_set in enumerate(self._sets):
             victims = [key for key in entry_set if key[0] == thread]
             for key in victims:
-                del entry_set[key]
+                self._used[index] -= entry_set.pop(key).ways
                 dropped += 1
         return dropped
 
@@ -236,17 +239,18 @@ class DecodedStreamBuffer:
         """Invalidate the whole DSB (used on repartition in strict mode)."""
         for entry_set in self._sets:
             entry_set.clear()
+        self._used = [0] * self.params.dsb_sets
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @staticmethod
-    def _used_ways(entry_set: OrderedDict[LineKey, DsbLine]) -> int:
-        return sum(line.ways for line in entry_set.values())
+    def used_ways(self, index: int) -> int:
+        """Ways in use in physical set ``index``."""
+        return self._used[index]
 
     def occupancy(self) -> int:
         """Total ways currently in use across all sets."""
-        return sum(self._used_ways(s) for s in self._sets)
+        return sum(self._used)
 
     def set_contents(self, index: int) -> list[LineKey]:
         """Keys resident in physical set ``index``, LRU-oldest first."""

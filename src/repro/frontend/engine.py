@@ -28,7 +28,7 @@ machine behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.caches.sa_cache import SetAssociativeCache
@@ -128,8 +128,22 @@ class LoopReport:
 
     def merge(self, other: "LoopReport") -> "LoopReport":
         """Accumulate another report into this one (in place) and return self."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.cycles += other.cycles
+        self.iterations += other.iterations
+        self.uops_lsd += other.uops_lsd
+        self.uops_dsb += other.uops_dsb
+        self.uops_mite += other.uops_mite
+        self.windows_lsd += other.windows_lsd
+        self.windows_dsb += other.windows_dsb
+        self.windows_mite += other.windows_mite
+        self.switches_to_mite += other.switches_to_mite
+        self.switches_to_dsb += other.switches_to_dsb
+        self.lcp_stalls += other.lcp_stalls
+        self.lsd_flushes += other.lsd_flushes
+        self.lsd_captures += other.lsd_captures
+        self.dsb_evictions += other.dsb_evictions
+        self.energy_nj += other.energy_nj
+        self.simulated_iterations += other.simulated_iterations
         return self
 
     def scaled(self, factor: float) -> "LoopReport":
@@ -142,19 +156,37 @@ class LoopReport:
         which cannot conserve sums — callers that need conservation must
         scale by integers.
         """
-        result = LoopReport()
         integral = isinstance(factor, int) or (
             isinstance(factor, float) and factor.is_integer()
         )
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float):
-                setattr(result, f.name, value * factor)
-            elif integral:
-                setattr(result, f.name, value * int(factor))
-            else:
-                setattr(result, f.name, round(value * factor))
-        return result
+        if integral:
+            count = int(factor)
+
+            def scale(value: int) -> int:
+                return value * count
+        else:
+
+            def scale(value: int) -> int:
+                return round(value * factor)
+
+        return LoopReport(
+            cycles=self.cycles * factor,
+            iterations=scale(self.iterations),
+            uops_lsd=scale(self.uops_lsd),
+            uops_dsb=scale(self.uops_dsb),
+            uops_mite=scale(self.uops_mite),
+            windows_lsd=scale(self.windows_lsd),
+            windows_dsb=scale(self.windows_dsb),
+            windows_mite=scale(self.windows_mite),
+            switches_to_mite=scale(self.switches_to_mite),
+            switches_to_dsb=scale(self.switches_to_dsb),
+            lcp_stalls=scale(self.lcp_stalls),
+            lsd_flushes=scale(self.lsd_flushes),
+            lsd_captures=scale(self.lsd_captures),
+            dsb_evictions=scale(self.dsb_evictions),
+            energy_nj=self.energy_nj * factor,
+            simulated_iterations=scale(self.simulated_iterations),
+        )
 
     def dominant_path(self) -> DeliveryPath:
         """Path that delivered the most uops."""
@@ -321,7 +353,11 @@ class FrontendEngine:
         self._last_path: dict[int, DeliveryPath | None] = {
             thread: None for thread in range(n_threads)
         }
-        self._window_cache: dict[tuple[MixBlock, ...], tuple[WindowAccess, ...]] = {}
+        # Window splits by program, and by body for programs that share
+        # one (``with_iterations`` copies); a program's hash is cached on
+        # the instance, a body tuple's is recomputed on every lookup.
+        self._window_cache: dict[LoopProgram, tuple[WindowAccess, ...]] = {}
+        self._body_windows: dict[tuple[MixBlock, ...], tuple[WindowAccess, ...]] = {}
         # Backend resolution is lazy: resolving at first run_loop keeps
         # construction cheap and lets the process default / env var set
         # after engine creation still take effect.
@@ -342,13 +378,19 @@ class FrontendEngine:
         hashable dataclass) — two different bodies placed at the same
         addresses, e.g. JIT-recycled code regions, must not alias.
         """
-        key = program.body
-        cached = self._window_cache.get(key)
-        if cached is not None:
-            return cached
+        cached = self._window_cache.get(program)
+        if cached is None:
+            cached = self._body_windows.get(program.body)
+            if cached is None:
+                cached = self._split_windows(program.body)
+                self._body_windows[program.body] = cached
+            self._window_cache[program] = cached
+        return cached
+
+    def _split_windows(self, body: tuple[MixBlock, ...]) -> tuple[WindowAccess, ...]:
         accesses: list[WindowAccess] = []
         wb = self.params.window_bytes
-        for block in program.body:
+        for block in body:
             groups: dict[int, list[Instruction]] = {}
             order: list[int] = []
             for addr, instruction in block.instruction_addresses():
@@ -382,9 +424,7 @@ class FrontendEngine:
                         plain_decode_cycles=plain_decode.cycles,
                     )
                 )
-        result = tuple(accesses)
-        self._window_cache[key] = result
-        return result
+        return tuple(accesses)
 
     # ------------------------------------------------------------------
     # eviction plumbing (DSB -> LSD inclusivity)

@@ -53,7 +53,7 @@ class LsdState(enum.Enum):
 
 def loop_key(program: LoopProgram) -> LoopKey:
     """Stable identity of a loop body for LSD tracking."""
-    return tuple(block.base for block in program.body)
+    return program.block_bases
 
 
 def misalignment_collides(program: LoopProgram, params: FrontendParams) -> bool:
@@ -94,6 +94,7 @@ class LoopStreamDetector:
         self._candidate: LoopKey | None = None
         self._qualify_streak = 0
         self._loop_windows: frozenset[int] = frozenset()
+        self._qualifies: dict[LoopProgram, bool] = {}
 
     # ------------------------------------------------------------------
     # structural qualification (independent of dynamic DSB state)
@@ -108,14 +109,17 @@ class LoopStreamDetector:
         Pure in (program, params), so callers may cache it per program;
         ``enabled`` must be re-read at use time because microcode
         patches toggle it on a live core (``Core.set_lsd_enabled``).
+        Memoised per program on this LSD.
         """
-        if program.uops_per_iteration > self.params.lsd_capacity:
-            return False
-        if program.lcp_instructions_per_iteration:
-            return False
-        if misalignment_collides(program, self.params):
-            return False
-        return True
+        qualifies = self._qualifies.get(program)
+        if qualifies is None:
+            qualifies = not (
+                program.uops_per_iteration > self.params.lsd_capacity
+                or program.lcp_instructions_per_iteration
+                or misalignment_collides(program, self.params)
+            )
+            self._qualifies[program] = qualifies
+        return qualifies
 
     # ------------------------------------------------------------------
     # dynamic protocol, driven by the engine once per loop iteration

@@ -17,9 +17,11 @@ and 5 uops, exactly as the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from repro.errors import LayoutError
+from repro.isa.frozen import FieldState
 from repro.isa.instructions import (
     Instruction,
     add_reg,
@@ -38,7 +40,7 @@ DSB_LINE_UOPS = 6
 
 
 @dataclass(frozen=True)
-class MixBlock:
+class MixBlock(FieldState):
     """A sequence of instructions placed at a virtual address.
 
     Attributes
@@ -62,21 +64,31 @@ class MixBlock:
         if not self.instructions:
             raise LayoutError("mix block must contain at least one instruction")
 
-    @property
+    def __hash__(self) -> int:
+        return self._field_hash
+
+    @cached_property
+    def _field_hash(self) -> int:
+        # The hash the dataclass would generate, computed once.
+        return hash((self.base, self.instructions, self.label))
+
+    # Geometry is computed on first read and kept on the instance (see
+    # repro.isa.frozen): the frontend reads it on every iteration.
+    @cached_property
     def size(self) -> int:
         """Total encoded bytes."""
         return sum(i.length for i in self.instructions)
 
-    @property
+    @cached_property
     def end(self) -> int:
         """One past the last instruction byte."""
         return self.base + self.size
 
-    @property
+    @cached_property
     def uop_count(self) -> int:
         return sum(i.uop_count for i in self.instructions)
 
-    @property
+    @cached_property
     def lcp_count(self) -> int:
         """Number of instructions carrying a length-changing prefix."""
         return sum(1 for i in self.instructions if i.has_lcp)
@@ -86,14 +98,14 @@ class MixBlock:
         """True if the block starts on a 32-byte window boundary."""
         return self.base % WINDOW_BYTES == 0
 
-    @property
+    @cached_property
     def windows(self) -> tuple[int, ...]:
         """Window-aligned start addresses of every 32B window the block touches."""
         first = self.base - (self.base % WINDOW_BYTES)
         last = (self.end - 1) - ((self.end - 1) % WINDOW_BYTES)
         return tuple(range(first, last + 1, WINDOW_BYTES))
 
-    @property
+    @cached_property
     def spans_windows(self) -> bool:
         """True if the block crosses a 32-byte window boundary (misaligned)."""
         return len(self.windows) > 1

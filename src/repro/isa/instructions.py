@@ -18,7 +18,9 @@ experiments use.  Byte lengths follow the common x86-64 encodings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from repro.isa.frozen import FieldState
 from repro.isa.uops import Uop, UopKind
 
 __all__ = [
@@ -37,7 +39,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Instruction:
+class Instruction(FieldState):
     """A single machine instruction.
 
     Attributes
@@ -67,6 +69,16 @@ class Instruction:
             raise ValueError(f"x86 instruction length must be 1..15, got {self.length}")
         if not self.uops:
             raise ValueError("instruction must decode to at least one uop")
+
+    def __hash__(self) -> int:
+        return self._field_hash
+
+    @cached_property
+    def _field_hash(self) -> int:
+        # The hash the dataclass would generate, computed once.
+        return hash(
+            (self.mnemonic, self.length, self.uops, self.has_lcp, self.is_branch)
+        )
 
     @property
     def uop_count(self) -> int:

@@ -10,16 +10,18 @@ uops, window footprint, misaligned-block count).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from repro.errors import LayoutError
 from repro.isa.blocks import MixBlock
+from repro.isa.frozen import FieldState
 
 __all__ = ["LoopProgram"]
 
 
 @dataclass(frozen=True)
-class LoopProgram:
+class LoopProgram(FieldState):
     """A loop over a chain of mix blocks.
 
     Attributes
@@ -48,7 +50,17 @@ class LoopProgram:
         object.__setattr__(self, "iterations", int(iterations))
         object.__setattr__(self, "label", label)
 
-    @property
+    def __hash__(self) -> int:
+        return self._field_hash
+
+    @cached_property
+    def _field_hash(self) -> int:
+        # The hash the dataclass would generate, computed once.
+        return hash((self.body, self.iterations, self.label))
+
+    # Body geometry is computed on first read and kept on the instance
+    # (see repro.isa.frozen): the frontend reads it on every iteration.
+    @cached_property
     def uops_per_iteration(self) -> int:
         return sum(block.uop_count for block in self.body)
 
@@ -56,7 +68,7 @@ class LoopProgram:
     def total_uops(self) -> int:
         return self.uops_per_iteration * self.iterations
 
-    @property
+    @cached_property
     def windows(self) -> tuple[int, ...]:
         """All distinct 32B windows the body touches, in first-touch order."""
         seen: dict[int, None] = {}
@@ -65,12 +77,12 @@ class LoopProgram:
                 seen.setdefault(window)
         return tuple(seen)
 
-    @property
+    @cached_property
     def window_events_per_iteration(self) -> int:
         """Window accesses per iteration (misaligned blocks count twice)."""
         return sum(len(block.windows) for block in self.body)
 
-    @property
+    @cached_property
     def misaligned_blocks(self) -> int:
         return sum(1 for block in self.body if block.spans_windows)
 
@@ -78,9 +90,14 @@ class LoopProgram:
     def aligned_blocks(self) -> int:
         return len(self.body) - self.misaligned_blocks
 
-    @property
+    @cached_property
     def lcp_instructions_per_iteration(self) -> int:
         return sum(block.lcp_count for block in self.body)
+
+    @cached_property
+    def block_bases(self) -> tuple[int, ...]:
+        """Base address of every body block, in order."""
+        return tuple(block.base for block in self.body)
 
     def with_iterations(self, iterations: int) -> "LoopProgram":
         """Same body, different trip count."""

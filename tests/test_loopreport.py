@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +57,44 @@ class TestLoopReportArithmetic:
 
     def test_ipc_zero_cycles(self):
         assert report(uops_dsb=5).ipc == 0.0
+
+
+def distinct_report(offset: int) -> LoopReport:
+    """A report whose every field holds its own value (floats as floats)."""
+    values = {}
+    for index, f in enumerate(fields(LoopReport)):
+        value = offset + 3 * index + 1
+        values[f.name] = value + 0.25 if f.type in (float, "float") else value
+    return LoopReport(**values)
+
+
+class TestEveryFieldIsHandled:
+    """``merge`` and ``scaled`` spell out each field; none may be missed."""
+
+    def test_merge_adds_every_field(self):
+        a, b = distinct_report(0), distinct_report(100)
+        expected = {f.name: getattr(a, f.name) + getattr(b, f.name)
+                    for f in fields(LoopReport)}
+        a.merge(b)
+        assert {f.name: getattr(a, f.name) for f in fields(LoopReport)} == expected
+
+    @pytest.mark.parametrize("factor", [0, 3, 4.0, 2.5, 0.3])
+    def test_scaled_scales_every_field(self, factor):
+        base = distinct_report(7)
+        integral = isinstance(factor, int) or factor.is_integer()
+        expected = {}
+        for f in fields(LoopReport):
+            value = getattr(base, f.name)
+            if isinstance(value, float):
+                expected[f.name] = value * factor
+            elif integral:
+                expected[f.name] = value * int(factor)
+            else:
+                expected[f.name] = round(value * factor)
+        scaled = base.scaled(factor)
+        actual = {f.name: getattr(scaled, f.name) for f in fields(LoopReport)}
+        assert actual == expected
+        assert all(type(actual[k]) is type(expected[k]) for k in expected)
 
 
 class TestIterationStream:

@@ -113,6 +113,44 @@ class TestDsbInvariants:
             used = sum(line.ways for line in dsb._sets[index].values())
             assert used <= dsb.params.dsb_ways
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("insert", "insert", "insert", "invalidate",
+                                 "flush_thread", "flush")),
+                st.integers(min_value=0, max_value=1),  # thread
+                # Few slots, 512 bytes apart: sets 0 and 16, one set
+                # under SMT folding, so inserts evict and drops hit.
+                st.integers(min_value=0, max_value=7),  # window slot
+                # uops: one, two or three ways, or uncacheable (>18)
+                st.sampled_from((4, 6, 7, 12, 13, 18, 19)),
+                st.booleans(),  # smt_active
+            ),
+            min_size=1,
+            max_size=150,
+        )
+    )
+    @settings(max_examples=60)
+    def test_used_ways_count_matches_contents(self, operations):
+        """The per-set used-ways count stays equal to the lines' ways."""
+        dsb = DecodedStreamBuffer(FrontendParams())
+        for op, thread, slot, uops, smt in operations:
+            addr = 0x400000 + slot * 512
+            if op == "insert":
+                dsb.insert(thread, addr, uops, smt)
+            elif op == "invalidate":
+                dsb.invalidate(thread, addr)
+            elif op == "flush_thread":
+                dsb.flush_thread(thread)
+            else:
+                dsb.flush()
+            for index in range(dsb.params.dsb_sets):
+                used = sum(line.ways for line in dsb._sets[index].values())
+                assert dsb.used_ways(index) == used
+        assert dsb.occupancy() == sum(
+            line.ways for entry_set in dsb._sets for line in entry_set.values()
+        )
+
     @given(st.integers(min_value=0, max_value=2**16))
     def test_smt_fold_consistency(self, window_slot):
         """SMT index = single-thread index mod half the sets."""
